@@ -31,7 +31,8 @@ use an2_reconfig::quiesce::LiveView;
 use an2_reconfig::{ReconfigEvent, Tag};
 use an2_sim::metrics::PhaseRecorder;
 use an2_sim::{SimDuration, SimTime};
-use an2_topology::{LinkState, Node, SwitchId};
+use an2_topology::paths::{self, HostWiring};
+use an2_topology::{LinkState, SwitchId};
 use an2_trace::{Entity, Phase, PhaseEdge, ProtocolTag, TraceEvent, Tracer};
 use std::fmt;
 
@@ -286,31 +287,14 @@ pub(crate) fn canonical_wiring(
     topo: &an2_topology::Topology,
     src: an2_topology::HostId,
     dst: an2_topology::HostId,
-) -> Option<(
-    Vec<SwitchId>,
-    Vec<an2_topology::LinkId>,
-    an2_topology::LinkId,
-    an2_topology::LinkId,
-)> {
-    let src_atts = topo.host_attachments(src);
+) -> Option<HostWiring> {
     let dst_atts = topo.host_attachments(dst);
-    for &(src_link, src_sw) in &src_atts {
+    for (src_link, src_sw) in topo.host_attachments(src) {
         for &(dst_link, dst_sw) in &dst_atts {
             let Some(path) = protocol.switch_route(topo, src_sw, dst_sw) else {
                 continue;
             };
-            let mut links = Vec::with_capacity(path.len().saturating_sub(1));
-            let mut ok = true;
-            for w in path.windows(2) {
-                match topo.links_between(w[0], w[1]).into_iter().min() {
-                    Some(l) => links.push(l),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
+            if let Some(links) = paths::hop_links(topo, &path) {
                 return Some((path, links, src_link, dst_link));
             }
         }
@@ -327,15 +311,13 @@ pub(crate) fn live_edges(fabric: &Fabric) -> (Vec<SwitchId>, Vec<Edge>) {
         .filter(|&s| !fabric.switch_crashed(s))
         .collect();
     let mut edges: Vec<Edge> = Vec::new();
-    for l in topo.links() {
-        if topo.link_state(l) != LinkState::Working {
-            continue;
-        }
-        let (a, b) = topo.endpoints(l);
-        if let (Node::Switch(x), Node::Switch(y)) = (a.node, b.node) {
-            if x != y && !fabric.switch_crashed(x) && !fabric.switch_crashed(y) {
-                edges.push(norm(x, y));
-            }
+    for (l, x, y) in topo.switch_links() {
+        if topo.link_state(l) == LinkState::Working
+            && x != y
+            && !fabric.switch_crashed(x)
+            && !fabric.switch_crashed(y)
+        {
+            edges.push(norm(x, y));
         }
     }
     edges.sort_unstable();

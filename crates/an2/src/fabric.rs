@@ -29,6 +29,7 @@ use an2_reconfig::protocol::ProtocolMsg as CtrlMsg;
 use an2_sim::metrics::Histogram;
 use an2_sim::SimRng;
 use an2_switch::{Departure, Switch, SwitchConfig};
+use an2_topology::paths::HostWiring;
 use an2_topology::{HostId, LinkId, LinkState, Node, SwitchId, Topology};
 use an2_trace::{DropReason, Entity, Hop, TraceEvent, Tracer};
 use std::collections::VecDeque;
@@ -592,7 +593,7 @@ impl Fabric {
     /// future, jumping whole quiet stretches when every switch and the
     /// agenda agree. An idle switch's step draws no randomness and moves no
     /// cell, so the skip is byte-identical to stepping; the
-    /// `watermark_equiv` tests pin that down. Turning batching off forces
+    /// `mode_equiv` tests pin that down. Turning batching off forces
     /// the legacy slot-by-slot path, which the N7 experiment benchmarks
     /// against.
     pub fn set_batching(&mut self, on: bool) {
@@ -1280,13 +1281,9 @@ impl Fabric {
     pub fn link_circuit_counts(&self) -> Vec<(LinkId, usize)> {
         let mut counts: Vec<(LinkId, usize)> = self
             .topo
-            .links()
-            .filter(|&l| {
-                let (a, b) = self.topo.endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && self.topo.link_state(l) == LinkState::Working
-            })
-            .map(|l| (l, 0))
+            .switch_links()
+            .filter(|&(l, ..)| self.topo.link_state(l) == LinkState::Working)
+            .map(|(l, ..)| (l, 0))
             .collect();
         for c in self.vcs.iter().filter_map(|e| e.circuit.as_ref()) {
             if c.paged_out || !matches!(c.class, TrafficClass::BestEffort) {
@@ -2246,7 +2243,7 @@ impl Fabric {
 
     /// The circuit's full wiring — switch path, inter-switch links, and the
     /// two host attachment links — for delta comparison at route install.
-    pub fn circuit_wiring(&self, vc: VcId) -> Option<(Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId)> {
+    pub fn circuit_wiring(&self, vc: VcId) -> Option<HostWiring> {
         self.circuit(vc)
             .map(|c| (c.switches.clone(), c.links.clone(), c.src_link, c.dst_link))
     }

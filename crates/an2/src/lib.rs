@@ -42,6 +42,7 @@
 
 mod central;
 mod control;
+mod digest;
 mod error;
 mod fabric;
 mod network;
@@ -49,6 +50,7 @@ pub mod reference;
 
 pub use central::BandwidthCentral;
 pub use control::ControlPlaneConfig;
+pub use digest::RunDigest;
 pub use error::NetError;
 pub use fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
 pub use network::{Network, NetworkBuilder};

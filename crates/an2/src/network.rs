@@ -340,34 +340,8 @@ impl Network {
         Ok(vc)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn best_effort_route(
-        &self,
-        src: HostId,
-        dst: HostId,
-    ) -> Result<(Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId), NetError> {
-        let topo = self.topology();
-        let route = paths::host_route(topo, src, dst).ok_or(NetError::NoRoute { src, dst })?;
-        let switches = route.switches;
-        // Concrete links between consecutive switches (lowest id wins).
-        let mut links = Vec::new();
-        for w in switches.windows(2) {
-            let l = topo.links_between(w[0], w[1]);
-            links.push(*l.first().ok_or(NetError::NoRoute { src, dst })?);
-        }
-        let src_link = topo
-            .host_attachments(src)
-            .into_iter()
-            .find(|&(_, s)| s == switches[0])
-            .map(|(l, _)| l)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        let dst_link = topo
-            .host_attachments(dst)
-            .into_iter()
-            .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-            .map(|(l, _)| l)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        Ok((switches, links, src_link, dst_link))
+    fn best_effort_route(&self, src: HostId, dst: HostId) -> Result<paths::HostWiring, NetError> {
+        paths::host_wiring(self.topology(), src, dst).ok_or(NetError::NoRoute { src, dst })
     }
 
     /// Opens a best-effort circuit the way the hardware does it (§2): a
@@ -765,12 +739,8 @@ impl Network {
         }
         let topo = self.fabric.topology();
         let monitors: Vec<(LinkId, LinkMonitor)> = topo
-            .links()
-            .filter(|&l| {
-                let (a, b) = topo.endpoints(l);
-                matches!(a.node, Node::Switch(_)) && matches!(b.node, Node::Switch(_))
-            })
-            .map(|l| (l, LinkMonitor::new(mon_cfg)))
+            .switch_links()
+            .map(|(l, ..)| (l, LinkMonitor::new(mon_cfg)))
             .collect();
         let slot_ns = self.rate.slot_duration().as_nanos().max(1);
         let ping_every_slots = (spec.monitor.ping_interval.as_nanos() / slot_ns).max(1);
@@ -917,16 +887,10 @@ impl Network {
         // Boot: each end of each working inter-switch link learns of it
         // locally, exactly as the oracle harness seeds its actors.
         let topo = self.fabric.topology();
-        let mut boots: Vec<(LinkId, SwitchId, SwitchId)> = Vec::new();
-        for l in topo.links() {
-            if topo.link_state(l) != an2_topology::LinkState::Working {
-                continue;
-            }
-            let (a, b) = topo.endpoints(l);
-            if let (Node::Switch(x), Node::Switch(y)) = (a.node, b.node) {
-                boots.push((l, x, y));
-            }
-        }
+        let boots: Vec<(LinkId, SwitchId, SwitchId)> = topo
+            .switch_links()
+            .filter(|&(l, ..)| topo.link_state(l) == an2_topology::LinkState::Working)
+            .collect();
         let mut ctl = self.faults.take().expect("asserted above");
         for (l, x, y) in boots {
             for (sw, other) in [(x, y), (y, x)] {
@@ -1285,7 +1249,7 @@ impl Network {
     /// An open circuit's full wiring: switch path, inter-switch links, and
     /// the two host attachment links. `None` for broken or unknown
     /// circuits.
-    pub fn circuit_wiring(&self, vc: VcId) -> Option<(Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId)> {
+    pub fn circuit_wiring(&self, vc: VcId) -> Option<paths::HostWiring> {
         self.fabric.circuit_wiring(vc)
     }
 

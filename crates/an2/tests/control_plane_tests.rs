@@ -9,12 +9,13 @@
 //! circuit lands on the byte-identical canonical up*/down* path.
 
 use an2::{
-    ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId,
+    ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Network, ReconfigEvent, RunDigest,
+    SwitchId, VcId,
 };
 use an2_cells::Packet;
-use an2_reconfig::harness::ReconfigNet;
+use an2_reconfig::harness::view_mismatches;
 use an2_sim::SimDuration;
-use an2_topology::{updown, LinkId, LinkState, Node, Topology};
+use an2_topology::{updown, LinkId, Topology};
 use proptest::prelude::*;
 
 /// Far-future slot: a flap that never recovers / a crash that never
@@ -32,15 +33,7 @@ fn quiet_spec() -> FaultSpec {
 
 /// Inter-switch links of the current topology, in id order.
 fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
+    topo.switch_links().collect()
 }
 
 /// Steps until the control plane reports convergence, in ping-interval
@@ -59,58 +52,17 @@ fn step_until_converged(net: &mut Network, cap_slots: u64) -> u64 {
     );
 }
 
-/// The surviving adjacency among non-crashed switches, normalized sorted.
-fn surviving_edges(topo: &Topology, crashed: &[SwitchId]) -> Vec<(SwitchId, SwitchId)> {
-    let mut edges: Vec<(SwitchId, SwitchId)> = backbone_links(topo)
-        .into_iter()
-        .filter(|&(l, a, b)| {
-            topo.link_state(l) == LinkState::Working
-                && !crashed.contains(&a)
-                && !crashed.contains(&b)
-        })
-        .map(|(_, a, b)| if a <= b { (a, b) } else { (b, a) })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
 /// Every live agent's view must equal the harness oracle's view for the
 /// same switch after the oracle protocol quiesces on the same surviving
 /// topology.
 fn assert_views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchId]) {
-    let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), oracle_seed);
-    for &s in crashed {
-        oracle.kill_switch(s);
-    }
-    oracle.run_to_quiescence();
-    for s in net.topology().switches() {
-        if crashed.contains(&s) {
-            continue;
-        }
-        let embedded = net
-            .agent_view_edges(s)
-            .unwrap_or_else(|| panic!("no embedded view for {s}"));
-        match oracle.view_edges_of(s) {
-            Some(oracle_view) => {
-                assert!(
-                    oracle.partition_converged(s),
-                    "oracle harness failed to converge in {s}'s partition"
-                );
-                assert_eq!(
-                    embedded, oracle_view,
-                    "embedded view of {s} diverges from the harness oracle"
-                );
-            }
-            // A switch with no working links never boots in the oracle
-            // world; the embedded agent saw its links die and must hold
-            // an empty view.
-            None => assert!(
-                embedded.is_empty(),
-                "isolated {s} holds a non-empty view {embedded:?}"
-            ),
-        }
-    }
+    let mismatches = view_mismatches(net.topology(), oracle_seed, crashed, |s| {
+        net.agent_view_edges(s)
+    });
+    assert!(
+        mismatches.is_empty(),
+        "embedded views diverge from the harness oracle at {mismatches:?}"
+    );
 }
 
 /// Recomputes every circuit's canonical wiring independently — canonical
@@ -124,9 +76,7 @@ fn assert_paths_canonical(
     crashed: &[SwitchId],
 ) {
     let topo = net.topology();
-    let live: Vec<SwitchId> = topo.switches().filter(|s| !crashed.contains(s)).collect();
-    let edges = surviving_edges(topo, crashed);
-    let forest = updown::canonical_forest(topo.switch_count(), &live, &edges);
+    let forest = updown::surviving_forest(topo, crashed);
     for tree in &forest {
         assert!(
             updown::all_pairs_updown_deadlock_free(topo, tree),
@@ -135,19 +85,10 @@ fn assert_paths_canonical(
         );
     }
     for &(vc, src, dst) in circuits {
-        let mut expected: Option<Vec<SwitchId>> = None;
-        'pairs: for (_, ss) in topo.host_attachments(src) {
-            for (_, ds) in topo.host_attachments(dst) {
-                let Some(tree) = forest.iter().find(|t| t.contains(ss) && t.contains(ds)) else {
-                    continue;
-                };
-                if let Some(path) = updown::route(topo, tree, ss, ds) {
-                    expected = Some(path);
-                    break 'pairs;
-                }
-            }
-        }
-        match (net.circuit_wiring(vc), expected) {
+        match (
+            net.circuit_wiring(vc),
+            updown::host_route(topo, &forest, src, dst),
+        ) {
             (Some((switches, _, _, _)), Some(path)) => {
                 assert_eq!(
                     switches, path,
@@ -334,9 +275,8 @@ fn switch_crash_converges_excluding_victim() {
     );
 }
 
-/// Digest of everything the replay contract covers: the typed log, the
-/// control transport counters, and per-circuit stats.
-fn run_digest(seed: u64) -> Vec<u64> {
+/// The [`RunDigest`] of the replay workload.
+fn run_digest(seed: u64) -> u64 {
     let topo = an2_topology::generators::src_installation(4, 8);
     let victim = backbone_links(&topo)[2].0;
     let mut spec = quiet_spec();
@@ -352,44 +292,8 @@ fn run_digest(seed: u64) -> Vec<u64> {
         }
         net.step(5_000);
     }
-    let mut d = Vec::new();
-    for e in net.reconfig_log() {
-        d.push(e.slot());
-        d.push(match e {
-            ReconfigEvent::LinkDead { link, .. } => 0x100 | link.0 as u64,
-            ReconfigEvent::LinkWorking { link, .. } => 0x200 | link.0 as u64,
-            ReconfigEvent::EpochStarted { tag, .. } => 0x300 | tag.epoch,
-            ReconfigEvent::Quiesced { messages, .. } => 0x400 | messages,
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => 0x500 | (rerouted << 20) | (kept << 10) | unroutable,
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => 0x600 | ((*entered as u64) << 40) | ((*level as u64) << 20) | link.0 as u64,
-        });
-    }
-    let c = net.ctrl_counters();
-    d.extend([c.messages_sent, c.messages_lost, c.cells_sent]);
-    for &(vc, _, _) in &circuits {
-        let s = if net.is_broken(vc) {
-            continue;
-        } else {
-            net.stats(vc).clone()
-        };
-        d.extend([
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ]);
-    }
-    d
+    let vcs: Vec<VcId> = circuits.iter().map(|&(vc, _, _)| vc).collect();
+    RunDigest::new().network(&mut net, &vcs).value()
 }
 
 #[test]

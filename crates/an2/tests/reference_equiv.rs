@@ -9,10 +9,10 @@
 //! same final slot. The workloads cover three topology families and as
 //! many seeds as proptest cases.
 
-use an2::{FabricConfig, TrafficClass};
+use an2::{FabricConfig, RunDigest, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::SimRng;
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkState, SwitchId, Topology};
 use proptest::prelude::*;
 
 fn topology(idx: usize) -> Topology {
@@ -40,47 +40,11 @@ fn topology(idx: usize) -> Topology {
     }
 }
 
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-/// The same route construction `Network::best_effort_route` uses: shortest
-/// host route, lowest-id concrete links.
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
-
-/// Everything observable about a finished run, for equality comparison.
-#[derive(Debug, PartialEq)]
-struct Summary {
-    slot: u64,
-    /// Per surviving circuit: raw id, sent, delivered, dropped, packets
-    /// delivered, packets corrupted, pages out, pages in, latency samples.
-    #[allow(clippy::type_complexity)]
-    vcs: Vec<(u32, u64, u64, u64, u64, u64, u64, u64, Vec<u64>)>,
-    /// Per host: delivered packets as (raw vc, payload bytes).
-    #[allow(clippy::type_complexity)]
-    received: Vec<(usize, Vec<(u32, Vec<u8>)>)>,
-    /// Circuits closed mid-run: raw id, delivered, dropped at close.
-    closed: Vec<(u32, u64, u64)>,
-}
-
 /// Drives one fabric (either implementation — they share an API, not a
-/// trait, hence the macro) through the seeded workload and summarizes it.
+/// trait, hence the macro) through the seeded workload and digests it:
+/// circuits closed mid-run (stats at close), then every surviving
+/// circuit's stats, every packet delivered to each host, and the final
+/// slot.
 macro_rules! drive {
     ($fabric:expr, $wl_seed:expr) => {{
         let mut f = $fabric;
@@ -97,7 +61,7 @@ macro_rules! drive {
             if dst == src {
                 dst = hosts[(src.0 as usize + 1) % hosts.len()];
             }
-            let Some((sw, links, sl, dl)) = route(f.topology(), src, dst) else {
+            let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
                 continue;
             };
             match i % 4 {
@@ -116,7 +80,7 @@ macro_rules! drive {
             }
             vcs.push((vc, src, dst));
         }
-        let mut closed: Vec<(u32, u64, u64)> = Vec::new();
+        let mut digest = RunDigest::new();
         for round in 0..10 {
             for &(vc, _, _) in &vcs {
                 if !f.has_circuit(vc) || f.is_paged_out(vc) {
@@ -132,13 +96,11 @@ macro_rules! drive {
             if round == 4 {
                 // Cut the first loaded inter-switch link; reroute or close
                 // every circuit that used it.
-                let victim_link = f.topology().links().find(|&l| {
-                    let (a, b) = f.topology().endpoints(l);
-                    matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                        && f.topology().link_state(l) == LinkState::Working
+                let victim_link = f.topology().switch_links().find(|&(l, ..)| {
+                    f.topology().link_state(l) == LinkState::Working
                         && !f.circuits_using(l).is_empty()
                 });
-                if let Some(link) = victim_link {
+                if let Some((link, ..)) = victim_link {
                     let victims = f.circuits_using(link);
                     f.fail_link(link);
                     for vc in victims {
@@ -147,11 +109,11 @@ macro_rules! drive {
                             .find(|(v, _, _)| *v == vc)
                             .map(|&(_, s, d)| (s, d))
                             .expect("victim was opened by this test");
-                        match route(f.topology(), src, dst) {
+                        match paths::host_wiring(f.topology(), src, dst) {
                             Some((sw, links, sl, dl)) => f.reroute_circuit(vc, sw, links, sl, dl),
                             None => {
                                 if let Some(s) = f.close_circuit(vc) {
-                                    closed.push((vc.raw(), s.delivered_cells, s.dropped_cells));
+                                    digest.word(vc.raw() as u64).vc_stats(&s);
                                 }
                             }
                         }
@@ -168,7 +130,9 @@ macro_rules! drive {
             if round == 8 {
                 for &(vc, src, dst) in &vcs {
                     if f.has_circuit(vc) && f.is_paged_out(vc) {
-                        if let Some((sw, links, sl, dl)) = route(f.topology(), src, dst) {
+                        if let Some((sw, links, sl, dl)) =
+                            paths::host_wiring(f.topology(), src, dst)
+                        {
                             f.page_in_circuit(vc, sw, links, sl, dl);
                         }
                     }
@@ -176,42 +140,17 @@ macro_rules! drive {
             }
         }
         f.step(2_000);
-        let mut rows = Vec::new();
         for &(vc, _, _) in &vcs {
-            if !f.has_circuit(vc) {
-                continue;
+            if f.has_circuit(vc) {
+                digest.word(vc.raw() as u64).vc_stats(f.stats(vc));
             }
-            let s = f.stats(vc);
-            rows.push((
-                vc.raw(),
-                s.sent_cells,
-                s.delivered_cells,
-                s.dropped_cells,
-                s.packets_delivered,
-                s.packets_corrupted,
-                s.pages_out,
-                s.pages_in,
-                s.latency_slots.samples().to_vec(),
-            ));
         }
-        let received = hosts
-            .iter()
-            .map(|&h| {
-                (
-                    h.0 as usize,
-                    f.take_received(h)
-                        .into_iter()
-                        .map(|(vc, p)| (vc.raw(), p.as_bytes().to_vec()))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect::<Vec<_>>();
-        Summary {
-            slot: f.slot(),
-            vcs: rows,
-            received,
-            closed,
+        for &h in &hosts {
+            for (vc, p) in f.take_received(h) {
+                digest.delivered(vc, &p);
+            }
         }
+        digest.word(f.slot()).value()
     }};
 }
 
@@ -229,10 +168,7 @@ proptest! {
                 an2::reference::Fabric::new(topology(topo_idx), cfg.clone(), seed),
                 wl_seed
             );
-            prop_assert_eq!(&new.slot, &old.slot);
-            prop_assert_eq!(&new.closed, &old.closed);
-            prop_assert_eq!(&new.vcs, &old.vcs);
-            prop_assert_eq!(&new.received, &old.received);
+            prop_assert_eq!(new, old, "slab fabric diverged from the oracle (topo {})", topo_idx);
         }
     }
 }

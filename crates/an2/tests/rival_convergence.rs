@@ -12,7 +12,7 @@
 
 use an2::{ControlPlaneConfig, FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
 use an2_sim::SimDuration;
-use an2_topology::{generators, LinkId, LinkState, Node, Topology};
+use an2_topology::{generators, LinkId, LinkState, Topology};
 use proptest::prelude::*;
 
 /// Far-future slot: a flap that never recovers within the test horizon.
@@ -47,15 +47,7 @@ fn grid_topology(which: usize) -> Topology {
 
 /// Inter-switch links of the current topology, in id order.
 fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
+    topo.switch_links().collect()
 }
 
 fn step_until_converged(net: &mut Network, cap_slots: u64, what: &str) {

@@ -16,39 +16,10 @@
 //!   sample — identical to two independent 48-host hubs each carrying
 //!   half the circuits.
 
-use an2::{FabricConfig, TrafficClass};
+use an2::{FabricConfig, RunDigest, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::SimRng;
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
+use an2_topology::{generators, paths, HostId};
 
 fn wide_cfg(ports: usize) -> FabricConfig {
     let mut cfg = FabricConfig::default();
@@ -56,24 +27,19 @@ fn wide_cfg(ports: usize) -> FabricConfig {
     cfg
 }
 
-/// One observable stats tuple per circuit: counters plus every latency
-/// sample in order.
-type CircuitObs = (u64, u64, u64, u64, Vec<u64>);
-
-fn observe(stats: &an2::VcStats) -> CircuitObs {
+/// One circuit's observable stats: its [`RunDigest`] fold (every counter
+/// and latency sample) and its delivered cells.
+fn observe(stats: &an2::VcStats) -> (u64, u64) {
     (
-        stats.sent_cells,
+        RunDigest::new().vc_stats(stats).value(),
         stats.delivered_cells,
-        stats.dropped_cells,
-        stats.packets_delivered,
-        stats.latency_slots.samples().to_vec(),
     )
 }
 
 // ---------------------------------------------------------------- oracle —
 
 /// Drives one engine over the 96-port hub with contending traffic and
-/// digests everything observable. `Engine` abstracts over the slab fabric
+/// digests everything observable. The macro abstracts over the slab fabric
 /// and the map oracle, whose APIs are method-for-method identical.
 macro_rules! drive_hub {
     ($fabric:expr, $wl_seed:expr) => {{
@@ -90,7 +56,8 @@ macro_rules! drive_hub {
             if dst == src {
                 dst = hosts[(src.0 as usize + 1) % hosts.len()];
             }
-            let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("hub route");
+            let (sw, links, sl, dl) =
+                paths::host_wiring(f.topology(), src, dst).expect("hub route");
             let class = if i % 5 == 0 {
                 TrafficClass::Guaranteed { cells_per_frame: 2 }
             } else {
@@ -111,26 +78,19 @@ macro_rules! drive_hub {
         }
         f.step(3_000);
 
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = RunDigest::new();
         let mut delivered = 0u64;
         for &vc in &vcs {
-            let (s, d, dr, p, lat) = observe(f.stats(vc));
-            delivered += d;
-            for x in [s, d, dr, p] {
-                fnv(&mut digest, &x.to_le_bytes());
-            }
-            for sample in lat {
-                fnv(&mut digest, &sample.to_le_bytes());
-            }
+            delivered += f.stats(vc).delivered_cells;
+            digest.vc_stats(f.stats(vc));
         }
         for &h in &hosts {
             for (vc, p) in f.take_received(h) {
-                fnv(&mut digest, &vc.raw().to_le_bytes());
-                fnv(&mut digest, p.as_bytes());
+                digest.delivered(vc, &p);
             }
         }
-        fnv(&mut digest, &f.slot().to_le_bytes());
-        (digest, delivered)
+        digest.word(f.slot());
+        (digest.value(), delivered)
     }};
 }
 
@@ -157,14 +117,14 @@ fn wide_hub_matches_reference_oracle() {
 /// circuit's observable stats in order.
 /// `index_offset` shifts the per-circuit packet schedule so a half-size
 /// run can replay exactly the schedule its circuits saw in the full run.
-fn forced_run(hosts: usize, seed: u64, index_offset: usize) -> Vec<CircuitObs> {
+fn forced_run(hosts: usize, seed: u64, index_offset: usize) -> Vec<(u64, u64)> {
     let mut f = an2::Fabric::new(generators::wide_hub(hosts), wide_cfg(hosts), seed);
     let pairs = hosts / 2;
     let vcs: Vec<VcId> = (0..pairs as u32).map(|i| VcId::new(200 + i)).collect();
     for (i, &vc) in vcs.iter().enumerate() {
         let src = HostId(2 * i as u16);
         let dst = HostId(2 * i as u16 + 1);
-        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("hub route");
+        let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("hub route");
         f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
     }
     for round in 0..5 {

@@ -26,7 +26,7 @@ use an2::{
 };
 use an2_cells::Packet;
 use an2_sim::SimDuration;
-use an2_topology::{generators, LinkId, Node, Topology};
+use an2_topology::{generators, LinkId, Topology};
 use std::collections::VecDeque;
 use std::fmt::Write;
 
@@ -71,15 +71,7 @@ fn quiet_spec() -> FaultSpec {
 
 /// Inter-switch links of the topology, in id order.
 fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
+    topo.switch_links().collect()
 }
 
 /// BFS hop count between two switches over the current working adjacency.

@@ -34,37 +34,17 @@
 //!
 //! Results must be byte-identical: the per-circuit stats digest of every
 //! batched run is asserted equal to its unbatched twin, and the
-//! `watermark_equiv` suite proves the same over random workloads, faults
-//! and live control planes.
+//! `mode_equiv` suite proves the same over random workloads, faults and
+//! live control planes.
 
+use crate::circuit_digest;
 use an2::{Entity, FabricConfig, MetricsRegistry, TrafficClass};
 use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
+use an2_topology::paths::{self, HostWiring};
+use an2_topology::{generators, HostId};
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::time::Instant;
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
 
 /// The N7 workload at one circuit count, built once (untimed).
 ///
@@ -79,7 +59,7 @@ pub struct BatchScenario {
     levels: usize,
     /// Slots needed to inject and drain everything.
     pub slots: u64,
-    circuits: Vec<(VcId, HostId, HostId, RouteParts, Vec<Cell>)>,
+    circuits: Vec<(VcId, HostId, HostId, HostWiring, Vec<Cell>)>,
 }
 
 impl BatchScenario {
@@ -93,7 +73,7 @@ impl BatchScenario {
         // Only `2 * hosts` distinct (src, dst) pairs exist; memoize the
         // BFS so preparing 100k circuits costs hundreds of route searches,
         // not thousands.
-        let mut memo: HashMap<(u16, u16), RouteParts> = HashMap::new();
+        let mut memo: HashMap<(u16, u16), HostWiring> = HashMap::new();
         let mut circuits = Vec::with_capacity(n_circuits);
         for j in 0..n_circuits {
             let src = HostId((j % hosts) as u16);
@@ -104,7 +84,9 @@ impl BatchScenario {
             };
             let parts = memo
                 .entry((src.0, dst.0))
-                .or_insert_with(|| route(&topo, src, dst).expect("fat-tree is connected"))
+                .or_insert_with(|| {
+                    paths::host_wiring(&topo, src, dst).expect("fat-tree is connected")
+                })
                 .clone();
             let vc = VcId::new(100 + j as u32);
             circuits.push((vc, src, dst, parts, Segmenter::new(vc).segment(&pkt)));
@@ -134,28 +116,9 @@ impl BatchScenario {
         f
     }
 
-    /// Digest of everything a run observes: per-circuit sent / delivered /
-    /// dropped counts and every latency sample, in order (the N6 digest).
+    /// The run's per-circuit stats digest and delivered cells.
     pub fn stats_digest(&self, f: &an2::Fabric) -> (u64, u64) {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fnv = |x: u64| {
-            for b in x.to_le_bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x1_0000_01b3);
-            }
-        };
-        let mut delivered = 0;
-        for (vc, ..) in &self.circuits {
-            let s = f.stats(*vc);
-            delivered += s.delivered_cells;
-            fnv(s.sent_cells);
-            fnv(s.delivered_cells);
-            fnv(s.dropped_cells);
-            for &sample in s.latency_slots.samples() {
-                fnv(sample);
-            }
-        }
-        (digest, delivered)
+        circuit_digest(self.circuits.iter().map(|(vc, ..)| f.stats(*vc)))
     }
 }
 

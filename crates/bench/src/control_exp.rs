@@ -23,12 +23,12 @@
 
 use an2::{
     sink, ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Hop, HostId, LinkId, Network,
-    Phase, ReconfigEvent, SwitchId, TraceConfig, TraceEvent, VcId,
+    Phase, ReconfigEvent, RunDigest, SwitchId, TraceConfig, TraceEvent, VcId,
 };
 use an2_cells::Packet;
-use an2_reconfig::harness::ReconfigNet;
+use an2_reconfig::harness::view_mismatches;
 use an2_sim::SimDuration;
-use an2_topology::{updown, LinkState, Node, Topology};
+use an2_topology::{updown, Topology};
 use std::fmt::Write;
 
 /// Far-future slot: a flap that never recovers / a crash that never
@@ -62,13 +62,6 @@ pub struct ControlRow {
     pub replay_ok: bool,
 }
 
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
-
 fn quiet_spec() -> FaultSpec {
     let mut spec = FaultSpec {
         check_invariants: true,
@@ -80,31 +73,7 @@ fn quiet_spec() -> FaultSpec {
 
 /// Inter-switch links of the topology, in id order.
 fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
-/// The surviving adjacency among non-crashed switches, normalized sorted.
-fn surviving_edges(topo: &Topology, crashed: &[SwitchId]) -> Vec<(SwitchId, SwitchId)> {
-    let mut edges: Vec<(SwitchId, SwitchId)> = backbone_links(topo)
-        .into_iter()
-        .filter(|&(l, a, b)| {
-            topo.link_state(l) == LinkState::Working
-                && !crashed.contains(&a)
-                && !crashed.contains(&b)
-        })
-        .map(|(_, a, b)| if a <= b { (a, b) } else { (b, a) })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+    topo.switch_links().collect()
 }
 
 /// Every live agent's view must equal the untouched harness oracle's view
@@ -112,38 +81,13 @@ fn surviving_edges(topo: &Topology, crashed: &[SwitchId]) -> Vec<(SwitchId, Swit
 /// surviving topology. Panics on divergence; returns `true` so the JSON
 /// row can record the check ran.
 fn views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchId]) -> bool {
-    let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), oracle_seed);
-    for &s in crashed {
-        oracle.kill_switch(s);
-    }
-    oracle.run_to_quiescence();
-    for s in net.topology().switches() {
-        if crashed.contains(&s) {
-            continue;
-        }
-        let embedded = net
-            .agent_view_edges(s)
-            .unwrap_or_else(|| panic!("no embedded view for {s}"));
-        match oracle.view_edges_of(s) {
-            Some(oracle_view) => {
-                assert!(
-                    oracle.partition_converged(s),
-                    "oracle harness failed to converge in {s}'s partition"
-                );
-                assert_eq!(
-                    embedded, oracle_view,
-                    "embedded view of {s} diverges from the harness oracle"
-                );
-            }
-            // A switch with no working links never boots in the oracle
-            // world; the embedded agent saw its links die and must hold an
-            // empty view.
-            None => assert!(
-                embedded.is_empty(),
-                "isolated {s} holds a non-empty view {embedded:?}"
-            ),
-        }
-    }
+    let mismatches = view_mismatches(net.topology(), oracle_seed, crashed, |s| {
+        net.agent_view_edges(s)
+    });
+    assert!(
+        mismatches.is_empty(),
+        "embedded views diverge from the harness oracle at {mismatches:?}"
+    );
     true
 }
 
@@ -156,23 +100,12 @@ fn assert_paths_canonical(
     crashed: &[SwitchId],
 ) {
     let topo = net.topology();
-    let live: Vec<SwitchId> = topo.switches().filter(|s| !crashed.contains(s)).collect();
-    let edges = surviving_edges(topo, crashed);
-    let forest = updown::canonical_forest(topo.switch_count(), &live, &edges);
+    let forest = updown::surviving_forest(topo, crashed);
     for &(vc, src, dst) in circuits {
-        let mut expected: Option<Vec<SwitchId>> = None;
-        'pairs: for (_, ss) in topo.host_attachments(src) {
-            for (_, ds) in topo.host_attachments(dst) {
-                let Some(tree) = forest.iter().find(|t| t.contains(ss) && t.contains(ds)) else {
-                    continue;
-                };
-                if let Some(path) = updown::route(topo, tree, ss, ds) {
-                    expected = Some(path);
-                    break 'pairs;
-                }
-            }
-        }
-        match (net.circuit_wiring(vc), expected) {
+        match (
+            net.circuit_wiring(vc),
+            updown::host_route(topo, &forest, src, dst),
+        ) {
             (Some((switches, _, _, _)), Some(path)) => {
                 assert_eq!(
                     switches, path,
@@ -237,79 +170,32 @@ fn drive(
         net.step(4_000);
     }
     net.step(25_000); // drain the pipeline
+    let c = net.ctrl_counters();
     let mut out = Outcome {
         sent: 0,
         delivered: 0,
         lost: 0,
         rerouted: 0,
-        ctrl_messages: 0,
-        ctrl_cells: 0,
+        ctrl_messages: c.messages_sent,
+        ctrl_cells: c.cells_sent,
         log: net.reconfig_log().to_vec(),
-        digest: 0xcbf2_9ce4_8422_2325,
+        digest: 0,
     };
     for &(vc, _, _) in &circuits {
-        if net.is_broken(vc) {
-            continue;
+        if !net.is_broken(vc) {
+            let s = net.stats(vc);
+            out.sent += s.sent_cells;
+            out.delivered += s.delivered_cells;
+            out.lost += s.lost_cells;
         }
-        let s = net.stats(vc).clone();
-        out.sent += s.sent_cells;
-        out.delivered += s.delivered_cells;
-        out.lost += s.lost_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ] {
-            fnv(&mut out.digest, x);
-        }
-    }
-    let c = net.ctrl_counters();
-    out.ctrl_messages = c.messages_sent;
-    out.ctrl_cells = c.cells_sent;
-    for x in [c.messages_sent, c.messages_lost, c.cells_sent] {
-        fnv(&mut out.digest, x);
     }
     for e in &out.log {
-        fnv(&mut out.digest, e.slot());
-        fnv(&mut out.digest, e.at().as_nanos());
-        match *e {
-            ReconfigEvent::LinkDead { link, .. } => {
-                fnv(&mut out.digest, 0x100 | link.0 as u64);
-            }
-            ReconfigEvent::LinkWorking { link, .. } => {
-                fnv(&mut out.digest, 0x200 | link.0 as u64);
-            }
-            ReconfigEvent::EpochStarted { tag, .. } => {
-                fnv(&mut out.digest, 0x300 | tag.epoch);
-                fnv(&mut out.digest, tag.initiator.0 as u64);
-            }
-            ReconfigEvent::Quiesced { tag, messages, .. } => {
-                fnv(&mut out.digest, 0x400 | tag.epoch);
-                fnv(&mut out.digest, messages);
-            }
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut out.digest, 0x500 | unroutable);
-                fnv(&mut out.digest, rerouted);
-                fnv(&mut out.digest, kept);
-                out.rerouted += rerouted;
-            }
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                fnv(&mut out.digest, 0x600 | link.0 as u64);
-                fnv(&mut out.digest, ((entered as u64) << 32) | level as u64);
-            }
+        if let ReconfigEvent::RoutesInstalled { rerouted, .. } = *e {
+            out.rerouted += rerouted;
         }
     }
+    let vcs: Vec<VcId> = circuits.iter().map(|&(vc, _, _)| vc).collect();
+    out.digest = RunDigest::new().network(&mut net, &vcs).value();
     (net, circuits, out)
 }
 

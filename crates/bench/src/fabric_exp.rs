@@ -11,33 +11,13 @@
 //! than the control plane or the AAL5 segmenter (shared code that would
 //! dilute the ratio equally on both sides).
 
+use crate::circuit_digest;
 use an2::{FabricConfig, TraceConfig, Tracer, TrafficClass};
 use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
+use an2_topology::paths::{self, HostWiring};
+use an2_topology::{generators, HostId};
 use std::fmt::Write;
 use std::time::Instant;
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
 
 /// One circuit of the benchmark workload: endpoints, its route, and the
 /// cells of its pre-segmented packets.
@@ -45,7 +25,7 @@ struct CircuitLoad {
     vc: VcId,
     src: HostId,
     dst: HostId,
-    parts: RouteParts,
+    parts: HostWiring,
     cells: Vec<Cell>,
 }
 
@@ -81,7 +61,7 @@ impl Scenario {
             let src = HostId((i as usize % hosts) as u16);
             let dst = HostId(((i as usize + 6) % hosts) as u16);
             let vc = VcId::new(100 + i);
-            let Some(parts) = route(&topo, src, dst) else {
+            let Some(parts) = paths::host_wiring(&topo, src, dst) else {
                 continue;
             };
             let pkt = Packet::from_bytes(payload.clone());
@@ -99,6 +79,12 @@ impl Scenario {
             });
         }
         Scenario { circuits: out }
+    }
+
+    /// The per-circuit stats digest and delivered cells of a finished run,
+    /// from either fabric's `stats` (untimed).
+    fn digest<'a>(&self, stats: impl Fn(VcId) -> &'a an2::VcStats) -> (u64, u64) {
+        circuit_digest(self.circuits.iter().map(|c| stats(c.vc)))
     }
 }
 
@@ -187,20 +173,22 @@ pub fn n2_fabric_dataplane() -> (Vec<FabricPerf>, String) {
         let scenario = Scenario::new(circuits);
         let mut reference_ms = f64::MAX;
         let mut slab_ms = f64::MAX;
-        let mut ref_delivered = 0;
-        let mut slab_delivered = 0;
+        let mut ref_digest = (0, 0);
+        let mut slab_digest = (0, 0);
         for _ in 0..5 {
             let mut f = prepare_reference(&scenario, 7);
             let t = Instant::now();
-            ref_delivered = run_reference(&mut f, &scenario, slots);
+            run_reference(&mut f, &scenario, slots);
             reference_ms = reference_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            ref_digest = scenario.digest(|vc| f.stats(vc));
             let mut f = prepare_slab(&scenario, 7);
             let t = Instant::now();
-            slab_delivered = run_slab(&mut f, &scenario, slots);
+            run_slab(&mut f, &scenario, slots);
             slab_ms = slab_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            slab_digest = scenario.digest(|vc| f.stats(vc));
         }
         assert_eq!(
-            slab_delivered, ref_delivered,
+            slab_digest, ref_digest,
             "fabrics diverged at {circuits} circuits"
         );
         rows.push(FabricPerf {
@@ -209,7 +197,7 @@ pub fn n2_fabric_dataplane() -> (Vec<FabricPerf>, String) {
             reference_ms,
             slab_ms,
             speedup: reference_ms / slab_ms,
-            delivered_cells: slab_delivered,
+            delivered_cells: slab_digest.1,
         });
     }
     let mut out = String::new();
@@ -232,9 +220,9 @@ pub fn n2_fabric_dataplane() -> (Vec<FabricPerf>, String) {
     }
     let _ = writeln!(
         out,
-        "identical delivered-cell counts (the property tests additionally \
-         check per-circuit stats and latency samples); the speedup is pure \
-         data-structure work removed from the per-slot path"
+        "identical per-circuit stats digests (every counter and latency \
+         sample); the speedup is pure data-structure work removed from the \
+         per-slot path"
     );
     (rows, out)
 }
@@ -274,14 +262,15 @@ pub fn n5_trace_overhead() -> (Vec<TraceOverhead>, String) {
         let scenario = Scenario::new(circuits);
         let mut untraced_ms = f64::MAX;
         let mut traced_ms = f64::MAX;
-        let mut plain_delivered = 0;
-        let mut traced_delivered = 0;
+        let mut plain_digest = (0, 0);
+        let mut traced_digest = (0, 0);
         let mut events = 0;
         for _ in 0..5 {
             let mut f = prepare_slab(&scenario, 7);
             let t = Instant::now();
-            plain_delivered = run_slab(&mut f, &scenario, slots);
+            run_slab(&mut f, &scenario, slots);
             untraced_ms = untraced_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            plain_digest = scenario.digest(|vc| f.stats(vc));
 
             let mut f = prepare_slab(&scenario, 7);
             let tracer = Tracer::new(TraceConfig {
@@ -290,13 +279,14 @@ pub fn n5_trace_overhead() -> (Vec<TraceOverhead>, String) {
             });
             f.attach_tracer(tracer.clone());
             let t = Instant::now();
-            traced_delivered = run_slab(&mut f, &scenario, slots);
+            run_slab(&mut f, &scenario, slots);
             traced_ms = traced_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            traced_digest = scenario.digest(|vc| f.stats(vc));
             events = tracer.events_seen();
         }
         assert_eq!(
-            traced_delivered, plain_delivered,
-            "tracing changed delivery at {circuits} circuits"
+            traced_digest, plain_digest,
+            "tracing changed the run at {circuits} circuits"
         );
         rows.push(TraceOverhead {
             circuits,
@@ -305,7 +295,7 @@ pub fn n5_trace_overhead() -> (Vec<TraceOverhead>, String) {
             traced_ms,
             overhead: traced_ms / untraced_ms,
             events,
-            delivered_cells: traced_delivered,
+            delivered_cells: traced_digest.1,
         });
     }
     let mut out = String::new();
@@ -334,7 +324,7 @@ pub fn n5_trace_overhead() -> (Vec<TraceOverhead>, String) {
     }
     let _ = writeln!(
         out,
-        "identical delivered-cell counts traced and untraced; the untraced \
+        "identical per-circuit stats digests traced and untraced; the untraced \
          leg is the tracer-disabled path, so its delta against the N2 slab \
          baseline is the disabled cost (an untaken Option branch)"
     );
@@ -353,9 +343,11 @@ mod tests {
         for seed in [1u64, 7, 23] {
             let mut slab = prepare_slab(&scenario, seed);
             let mut reference = prepare_reference(&scenario, seed);
+            run_slab(&mut slab, &scenario, 2_000);
+            run_reference(&mut reference, &scenario, 2_000);
             assert_eq!(
-                run_slab(&mut slab, &scenario, 2_000),
-                run_reference(&mut reference, &scenario, 2_000)
+                scenario.digest(|vc| slab.stats(vc)),
+                scenario.digest(|vc| reference.stats(vc))
             );
         }
     }
@@ -367,9 +359,11 @@ mod tests {
         let mut traced = prepare_slab(&scenario, 7);
         let tracer = Tracer::new(TraceConfig::default());
         traced.attach_tracer(tracer.clone());
+        run_slab(&mut traced, &scenario, 2_000);
+        run_slab(&mut plain, &scenario, 2_000);
         assert_eq!(
-            run_slab(&mut traced, &scenario, 2_000),
-            run_slab(&mut plain, &scenario, 2_000)
+            scenario.digest(|vc| traced.stats(vc)),
+            scenario.digest(|vc| plain.stats(vc))
         );
         assert!(tracer.events_seen() > 0, "recorder saw nothing");
     }

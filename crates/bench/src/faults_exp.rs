@@ -18,7 +18,7 @@
 //!   slot; the run drains clean and replays byte-identically from the
 //!   same `(spec, seed)`.
 
-use an2::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network, VcId};
+use an2::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network, RunDigest, VcId};
 use an2_cells::Packet;
 use an2_sim::SimDuration;
 use an2_topology::LinkId;
@@ -60,13 +60,6 @@ struct Outcome {
     digest: u64,
 }
 
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
-
 /// Drives `circuits` best-effort circuits over a 4-switch SRC installation
 /// for `slots` slots, sending a small packet per circuit every `gap`
 /// slots, then drains and (with a fault layer) forces resyncs until every
@@ -74,12 +67,11 @@ fn fnv(h: &mut u64, x: u64) {
 fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outcome {
     let mut net = Network::builder().src_installation(4, 12).seed(17).build();
     let hosts: Vec<_> = net.hosts().collect();
-    let mut vcs: Vec<(VcId, usize)> = Vec::new();
+    let mut vcs: Vec<VcId> = Vec::new();
     for i in 0..6 {
         // Offset 6 ≡ 2 (mod 4): routes cross the backbone.
         let (src, dst) = (hosts[i], hosts[(i + 6) % hosts.len()]);
-        let vc = net.open_best_effort(src, dst).expect("route exists");
-        vcs.push((vc, (i + 6) % hosts.len()));
+        vcs.push(net.open_best_effort(src, dst).expect("route exists"));
     }
     if let Some(spec) = spec {
         net.attach_faults(spec, fault_seed);
@@ -89,7 +81,7 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
     let mut t = 0;
     let mut tag = 0u8;
     while t < slots {
-        for &(vc, _) in &vcs {
+        for &vc in &vcs {
             if !net.is_broken(vc) {
                 let _ = net.send_packet(vc, Packet::from_bytes(vec![tag; 480]));
             }
@@ -103,11 +95,11 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
         for _ in 0..60 {
             let whole = vcs
                 .iter()
-                .all(|&(vc, _)| net.is_broken(vc) || net.credits_fully_restored(vc));
+                .all(|&vc| net.is_broken(vc) || net.credits_fully_restored(vc));
             if whole {
                 break;
             }
-            for &(vc, _) in &vcs {
+            for &vc in &vcs {
                 if !net.is_broken(vc) && !net.credits_fully_restored(vc) {
                     let _ = net.force_resync(vc);
                 }
@@ -123,104 +115,22 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
         resyncs: 0,
         restored: true,
         log: net.reconfig_log().to_vec(),
-        digest: 0xcbf2_9ce4_8422_2325,
+        digest: 0,
     };
-    for &(vc, host_idx) in &vcs {
-        let broken = net.is_broken(vc);
-        let s = net.stats(vc).clone();
+    for &vc in &vcs {
+        let s = net.stats(vc);
         out.sent += s.sent_cells;
         out.delivered += s.delivered_cells;
         out.lost += s.lost_cells;
-        if spec.is_some() && !broken && !net.credits_fully_restored(vc) {
+        if spec.is_some() && !net.is_broken(vc) && !net.credits_fully_restored(vc) {
             out.restored = false;
-        }
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.dropped_cells,
-            s.lost_cells,
-            s.corrupted_cells,
-            s.packets_delivered,
-            s.packets_corrupted,
-        ] {
-            fnv(&mut out.digest, x);
-        }
-        for &l in s.latency_slots.samples() {
-            fnv(&mut out.digest, l);
-        }
-        for (pvc, p) in net.take_received(hosts[host_idx]) {
-            fnv(&mut out.digest, pvc.raw() as u64);
-            fnv(&mut out.digest, p.as_bytes().len() as u64);
-            for &b in p.as_bytes().iter().take(8) {
-                fnv(&mut out.digest, b as u64);
-            }
         }
     }
     if let Some(c) = net.fault_counters() {
         out.violations = c.invariant_violations;
         out.resyncs = c.resyncs_completed;
-        for x in [
-            c.cells_lost,
-            c.cells_corrupted,
-            c.credits_lost,
-            c.markers_sent,
-            c.markers_lost,
-            c.replies_lost,
-            c.resyncs_completed,
-            c.crash_dropped_cells,
-            c.invariant_violations,
-        ] {
-            fnv(&mut out.digest, x);
-        }
     }
-    for e in &out.log {
-        fnv(&mut out.digest, e.slot());
-        fnv(&mut out.digest, e.at().as_nanos());
-        match *e {
-            an2::ReconfigEvent::LinkDead { link, .. } => {
-                fnv(&mut out.digest, 1);
-                fnv(&mut out.digest, link.0 as u64);
-            }
-            an2::ReconfigEvent::LinkWorking { link, .. } => {
-                fnv(&mut out.digest, 2);
-                fnv(&mut out.digest, link.0 as u64);
-            }
-            an2::ReconfigEvent::EpochStarted { tag, .. } => {
-                fnv(&mut out.digest, 3);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, tag.initiator.0 as u64);
-            }
-            an2::ReconfigEvent::Quiesced { tag, messages, .. } => {
-                fnv(&mut out.digest, 4);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, messages);
-            }
-            an2::ReconfigEvent::RoutesInstalled {
-                tag,
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut out.digest, 5);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, rerouted);
-                fnv(&mut out.digest, kept);
-                fnv(&mut out.digest, unroutable);
-            }
-            an2::ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                fnv(&mut out.digest, 6);
-                fnv(&mut out.digest, link.0 as u64);
-                fnv(&mut out.digest, entered as u64);
-                fnv(&mut out.digest, level as u64);
-            }
-        }
-    }
+    out.digest = RunDigest::new().network(&mut net, &vcs).value();
     out
 }
 
@@ -251,11 +161,11 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     // --- inert: the fault layer must be free when nothing is configured.
     let bare = soak(None, 0, 20_000, 600);
     let inert = soak(Some(&FaultSpec::default()), 9, 20_000, 600);
-    // The bare run digests no counters and no log; compare traffic only.
+    // No fault layer digests exactly like an inert one, so the whole run
+    // must match, not only its traffic.
     assert_eq!(
-        (bare.sent, bare.delivered, bare.lost),
-        (inert.sent, inert.delivered, inert.lost),
-        "inert fault layer changed traffic"
+        bare.digest, inert.digest,
+        "inert fault layer changed the run"
     );
     assert_eq!(inert.violations, 0);
     writeln!(

@@ -31,6 +31,20 @@ pub mod reconfig_exp;
 pub mod schedule_exp;
 pub mod xbar_exp;
 
+/// The [`an2::RunDigest`] of the listed circuits' statistics (every
+/// counter and latency sample, in order) together with their delivered
+/// cells: what N2, N5, N6 and N7 compare across engines, taken outside the
+/// timed region.
+pub(crate) fn circuit_digest<'a>(stats: impl IntoIterator<Item = &'a an2::VcStats>) -> (u64, u64) {
+    let mut digest = an2::RunDigest::new();
+    let mut delivered = 0;
+    for s in stats {
+        delivered += s.delivered_cells;
+        digest.vc_stats(s);
+    }
+    (digest.value(), delivered)
+}
+
 /// Formats a fraction as a percent with one decimal.
 ///
 /// ```

@@ -20,36 +20,15 @@
 //!
 //! Every shard count must deliver byte-identical results — asserted here
 //! over a full per-circuit stats digest, and proven more broadly by the
-//! `shard_equiv` property suite.
+//! `mode_equiv` suite.
 
-use crate::parallel;
+use crate::{circuit_digest, parallel};
 use an2::{FabricConfig, TrafficClass};
 use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, partition_switches, paths, HostId, LinkId, SwitchId, Topology};
+use an2_topology::paths::{self, HostWiring};
+use an2_topology::{generators, partition_switches, HostId};
 use std::fmt::Write;
 use std::time::Instant;
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
 
 /// The fat-tree workload, built once (untimed): one best-effort circuit per
 /// host, to the partner found by flipping host bit `i mod 8` — a mix of
@@ -59,7 +38,7 @@ fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
 pub struct TreeScenario {
     topo_arity: usize,
     topo_levels: usize,
-    circuits: Vec<(VcId, HostId, HostId, RouteParts, Vec<Cell>)>,
+    circuits: Vec<(VcId, HostId, HostId, HostWiring, Vec<Cell>)>,
 }
 
 impl TreeScenario {
@@ -75,7 +54,7 @@ impl TreeScenario {
             let src = HostId(i as u16);
             let dst = HostId((i ^ (1 << (i % host_bits))) as u16);
             let vc = VcId::new(100 + i as u32);
-            let Some(parts) = route(&topo, src, dst) else {
+            let Some(parts) = paths::host_wiring(&topo, src, dst) else {
                 continue;
             };
             let pkt = Packet::from_bytes(payload.clone());
@@ -110,28 +89,9 @@ impl TreeScenario {
     }
 }
 
-/// Digest of everything a run observes: per-circuit sent/delivered/dropped
-/// counts and every latency sample, in order.
+/// The run's per-circuit stats digest and delivered cells.
 fn stats_digest(f: &an2::Fabric, scenario: &TreeScenario) -> (u64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |x: u64| {
-        for b in x.to_le_bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    let mut delivered = 0;
-    for (vc, ..) in &scenario.circuits {
-        let s = f.stats(*vc);
-        delivered += s.delivered_cells;
-        fnv(s.sent_cells);
-        fnv(s.delivered_cells);
-        fnv(s.dropped_cells);
-        for &sample in s.latency_slots.samples() {
-            fnv(sample);
-        }
-    }
-    (digest, delivered)
+    circuit_digest(scenario.circuits.iter().map(|(vc, ..)| f.stats(*vc)))
 }
 
 /// One point on the N6 scaling curve.
@@ -250,8 +210,8 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     }
     let _ = writeln!(
         out,
-        "identical stats digests at every shard count (the shard_equiv \
-         property suite proves the same over random workloads, faults and \
+        "identical stats digests at every shard count (the mode_equiv \
+         suite proves the same over random workloads, faults and \
          tracing); model speedup = sum/max of per-shard busy switch-steps — \
          the critical path under the barrier — while wall clock reflects \
          the harness machine's actual core count"

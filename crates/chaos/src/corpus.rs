@@ -204,7 +204,7 @@ impl JVal {
     pub fn parse(text: &str) -> Res<JVal> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing garbage at byte {pos}"));
@@ -219,11 +219,22 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
+/// Deepest array/object nesting [`JVal::parse`] accepts. The corpus schema
+/// nests a handful of levels; the cap keeps a hostile file from overflowing
+/// the stack of the recursive descent.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Res<JVal> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return err("unexpected end of input");
     };
+    if matches!(c, b'{' | b'[') && depth >= MAX_DEPTH {
+        return err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match c {
         b'{' => {
             *pos += 1;
@@ -235,7 +246,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     JVal::Str(s) => s,
                     other => return err(format!("object key must be a string, got {other:?}")),
                 };
@@ -244,7 +255,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
                     return err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -266,7 +277,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
                 return Ok(JVal::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(&b',') => *pos += 1,
@@ -372,10 +383,9 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
                 tok.parse::<f64>()
                     .map(JVal::Num)
                     .map_err(|_| CorpusError(format!("bad number `{tok}`")))
-            } else if let Some(stripped) = tok.strip_prefix('-') {
-                stripped
-                    .parse::<i64>()
-                    .map(|x| JVal::Int(-x))
+            } else if tok.starts_with('-') {
+                tok.parse::<i64>()
+                    .map(JVal::Int)
                     .map_err(|_| CorpusError(format!("bad number `{tok}`")))
             } else {
                 tok.parse::<u64>()
@@ -700,6 +710,18 @@ mod tests {
         let v2 = JVal::parse(&rendered).unwrap();
         assert_eq!(v, v2);
         assert_eq!(v.get("big").unwrap().as_u64().unwrap(), 1 << 40);
+        let min = JVal::Int(i64::MIN);
+        assert_eq!(JVal::parse(&min.render()).unwrap(), min);
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_without_overflowing() {
+        // Runs on the default test thread stack: unbounded recursion here
+        // would abort the process instead of returning an error.
+        assert!(JVal::parse(&"[".repeat(100_000)).is_err());
+        assert!(JVal::parse(&"{\"a\":".repeat(100_000)).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JVal::parse(&ok).is_ok());
     }
 
     #[test]

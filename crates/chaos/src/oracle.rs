@@ -23,13 +23,15 @@
 //! 7. **Delivery floor** — aggregate packet delivery on circuits that
 //!    survive to the end must meet the schedule's floor.
 //!
-//! The report also carries an FNV-1a digest of everything observable, so a
+//! The report also carries the [`RunDigest`] of everything observable, so a
 //! replay of the same schedule can be checked byte-for-byte.
 
 use crate::gen::Schedule;
-use an2::{ControlPlaneConfig, HostId, Network, ProtocolKind, ReconfigEvent, SwitchId, VcId};
+use an2::{
+    ControlPlaneConfig, HostId, Network, ProtocolKind, ReconfigEvent, RunDigest, SwitchId, VcId,
+};
 use an2_cells::Packet;
-use an2_reconfig::harness::ReconfigNet;
+use an2_reconfig::harness::view_mismatches;
 use an2_topology::updown;
 use std::fmt;
 
@@ -113,8 +115,8 @@ impl fmt::Display for Violation {
 pub struct RunReport {
     /// Oracle violations, in check order. Empty = the run survived.
     pub violations: Vec<Violation>,
-    /// FNV-1a digest of stats, received bytes, counters and the typed log —
-    /// the replay contract.
+    /// The run's [`RunDigest`] — stats, received bytes, counters and the
+    /// typed log: the replay contract.
     pub digest: u64,
     /// Packets accepted for sending on circuits that survived to the end.
     pub sent_packets: u64,
@@ -138,13 +140,6 @@ pub struct RunReport {
     pub final_slot: u64,
 }
 
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
-
 /// Switches permanently crashed over the schedule's horizon.
 fn crashed_switches(s: &Schedule) -> Vec<SwitchId> {
     let horizon = s.run_slots + s.drain_slots;
@@ -159,37 +154,14 @@ fn crashed_switches(s: &Schedule) -> Vec<SwitchId> {
 /// Collects view violations: every live agent must agree with the
 /// untouched harness oracle run on the same surviving topology.
 fn check_views(net: &Network, seed: u64, crashed: &[SwitchId], out: &mut Vec<Violation>) {
-    let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), seed ^ 0x5eed);
-    for &sw in crashed {
-        oracle.kill_switch(sw);
-    }
-    oracle.run_to_quiescence();
-    for sw in net.topology().switches() {
-        if crashed.contains(&sw) {
-            continue;
-        }
-        let embedded = match net.agent_view_edges(sw) {
-            Some(v) => v,
-            None => {
-                out.push(Violation::ViewMismatch { switch: sw });
-                continue;
-            }
-        };
-        match oracle.view_edges_of(sw) {
-            Some(oracle_view) => {
-                if !oracle.partition_converged(sw) || embedded != oracle_view {
-                    out.push(Violation::ViewMismatch { switch: sw });
-                }
-            }
-            // A switch with no working links never boots in the oracle
-            // world; the embedded agent must hold an empty view.
-            None => {
-                if !embedded.is_empty() {
-                    out.push(Violation::ViewMismatch { switch: sw });
-                }
-            }
-        }
-    }
+    let mismatches = view_mismatches(net.topology(), seed ^ 0x5eed, crashed, |s| {
+        net.agent_view_edges(s)
+    });
+    out.extend(
+        mismatches
+            .into_iter()
+            .map(|switch| Violation::ViewMismatch { switch }),
+    );
 }
 
 /// Collects path violations: recompute the canonical forest over the
@@ -202,40 +174,12 @@ fn check_paths(
     out: &mut Vec<Violation>,
 ) {
     let topo = net.topology();
-    let live: Vec<SwitchId> = topo.switches().filter(|s| !crashed.contains(s)).collect();
-    let mut edges: Vec<(SwitchId, SwitchId)> = topo
-        .links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (an2_topology::Node::Switch(x), an2_topology::Node::Switch(y))
-                    if topo.link_state(l) == an2_topology::LinkState::Working
-                        && !crashed.contains(&x)
-                        && !crashed.contains(&y) =>
-                {
-                    Some(if x <= y { (x, y) } else { (y, x) })
-                }
-                _ => None,
-            }
-        })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    let forest = updown::canonical_forest(topo.switch_count(), &live, &edges);
+    let forest = updown::surviving_forest(topo, crashed);
     for &(vc, src, dst) in circuits {
-        let mut expected: Option<Vec<SwitchId>> = None;
-        'pairs: for (_, ss) in topo.host_attachments(src) {
-            for (_, ds) in topo.host_attachments(dst) {
-                let Some(tree) = forest.iter().find(|t| t.contains(ss) && t.contains(ds)) else {
-                    continue;
-                };
-                if let Some(path) = updown::route(topo, tree, ss, ds) {
-                    expected = Some(path);
-                    break 'pairs;
-                }
-            }
-        }
-        match (net.circuit_wiring(vc), expected) {
+        match (
+            net.circuit_wiring(vc),
+            updown::host_route(topo, &forest, src, dst),
+        ) {
             (Some((switches, _, _, _)), Some(path)) => {
                 if switches != path {
                     out.push(Violation::PathNotCanonical {
@@ -462,104 +406,23 @@ fn run_schedule_inner(
         }
     }
 
-    // Replay digest: per-circuit stats and latency samples, every received
-    // packet, transport and fault counters, the typed reconfiguration log.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for &(vc, _, _) in &circuits {
-        if net.is_broken(vc) {
-            fnv(&mut digest, 0xb20ce2);
-            continue;
-        }
-        let st = net.stats(vc).clone();
-        for x in [
-            st.sent_cells,
-            st.delivered_cells,
-            st.dropped_cells,
-            st.lost_cells,
-            st.corrupted_cells,
-            st.packets_delivered,
-            st.packets_corrupted,
-        ] {
-            fnv(&mut digest, x);
-        }
-        for &l in st.latency_slots.samples() {
-            fnv(&mut digest, l);
-        }
-    }
-    for &h in &hosts {
-        for (pvc, p) in net.take_received(h) {
-            fnv(&mut digest, pvc.raw() as u64);
-            fnv(&mut digest, p.as_bytes().len() as u64);
-            for &b in p.as_bytes().iter().take(8) {
-                fnv(&mut digest, b as u64);
-            }
-        }
-    }
-    let cc = net.ctrl_counters();
-    for x in [cc.messages_sent, cc.messages_lost, cc.cells_sent] {
-        fnv(&mut digest, x);
-    }
-    if let Some(c) = net.fault_counters() {
-        for x in [
-            c.cells_lost,
-            c.cells_corrupted,
-            c.credits_lost,
-            c.markers_sent,
-            c.markers_lost,
-            c.replies_lost,
-            c.resyncs_completed,
-            c.crash_dropped_cells,
-            c.invariant_violations,
-        ] {
-            fnv(&mut digest, x);
-        }
-    }
     let mut epochs = 0u64;
     let mut verdict_transitions = 0u64;
     let mut quarantine_entries = 0u64;
     for e in net.reconfig_log() {
-        fnv(&mut digest, e.slot());
         match *e {
-            ReconfigEvent::LinkDead { link, .. } => {
-                verdict_transitions += 1;
-                fnv(&mut digest, 0x100 | link.0 as u64);
+            ReconfigEvent::LinkDead { .. } | ReconfigEvent::LinkWorking { .. } => {
+                verdict_transitions += 1
             }
-            ReconfigEvent::LinkWorking { link, .. } => {
-                verdict_transitions += 1;
-                fnv(&mut digest, 0x200 | link.0 as u64);
-            }
-            ReconfigEvent::EpochStarted { tag, .. } => {
-                epochs += 1;
-                fnv(&mut digest, 0x300 | tag.epoch);
-            }
-            ReconfigEvent::Quiesced { messages, .. } => {
-                fnv(&mut digest, 0x400_0000 | messages);
-            }
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut digest, 0x500);
-                fnv(&mut digest, (rerouted << 20) | (kept << 10) | unroutable);
-            }
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                if entered {
-                    quarantine_entries += 1;
-                }
-                fnv(&mut digest, 0x600 | link.0 as u64);
-                fnv(&mut digest, ((entered as u64) << 32) | level as u64);
-            }
+            ReconfigEvent::EpochStarted { .. } => epochs += 1,
+            ReconfigEvent::LinkQuarantined { entered: true, .. } => quarantine_entries += 1,
+            _ => {}
         }
     }
     let suppressed = net.suppressed_recoveries();
-    fnv(&mut digest, suppressed);
+    // Replay digest: the canonical fold of everything the run observes.
+    let vcs: Vec<VcId> = circuits.iter().map(|&(vc, _, _)| vc).collect();
+    let digest = RunDigest::new().network(&mut net, &vcs).value();
 
     // Flush any interval still pending at the final boundary (read-only
     // on the registry — no effect on the digest above).

@@ -282,6 +282,37 @@ impl ReconfigNet {
     }
 }
 
+/// The view oracle for an embedded control plane: runs the harness on
+/// `topo` with the `crashed` switches killed until quiescence, then returns
+/// every live switch whose embedded view (`embedded(s)`) differs from the
+/// harness's converged view. A missing embedded view or an unconverged
+/// oracle partition is a mismatch; a switch with no working links never
+/// boots in the harness, so its embedded view must be empty.
+pub fn view_mismatches(
+    topo: &Topology,
+    seed: u64,
+    crashed: &[SwitchId],
+    embedded: impl Fn(SwitchId) -> Option<Vec<Edge>>,
+) -> Vec<SwitchId> {
+    let mut oracle = ReconfigNet::with_defaults(topo.clone(), seed);
+    for &s in crashed {
+        oracle.kill_switch(s);
+    }
+    oracle.run_to_quiescence();
+    topo.switches()
+        .filter(|s| !crashed.contains(s))
+        .filter(|&s| {
+            let Some(view) = embedded(s) else {
+                return true;
+            };
+            match oracle.view_edges_of(s) {
+                Some(expected) => !oracle.partition_converged(s) || view != expected,
+                None => !view.is_empty(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -325,6 +325,18 @@ impl Topology {
         (l.a, l.b)
     }
 
+    /// Every inter-switch link, in id order, with its two switches (whatever
+    /// the link's state).
+    pub fn switch_links(&self) -> impl Iterator<Item = (LinkId, SwitchId, SwitchId)> + '_ {
+        self.links().filter_map(|l| {
+            let (a, b) = self.endpoints(l);
+            match (a.node, b.node) {
+                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
+                _ => None,
+            }
+        })
+    }
+
     /// The link's current state.
     pub fn link_state(&self, id: LinkId) -> LinkState {
         self.links[id.0 as usize].state
@@ -475,11 +487,7 @@ impl Topology {
         if !self.switches_connected() {
             return false;
         }
-        for id in self.links() {
-            let (a, b) = self.endpoints(id);
-            if !matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_))) {
-                continue;
-            }
+        for (id, ..) in self.switch_links() {
             if self.link_state(id) != LinkState::Working {
                 continue;
             }

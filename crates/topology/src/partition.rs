@@ -84,15 +84,8 @@ pub fn partition_switches(topo: &Topology, shards: usize) -> Vec<u32> {
 /// The number of links whose endpoints land in different shards — the
 /// mailbox traffic a plan implies. Observability for tests and benches.
 pub fn cut_links(topo: &Topology, plan: &[u32]) -> usize {
-    use crate::Node;
-    topo.links()
-        .filter(|&l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => plan[x.0 as usize] != plan[y.0 as usize],
-                _ => false,
-            }
-        })
+    topo.switch_links()
+        .filter(|&(_, x, y)| plan[x.0 as usize] != plan[y.0 as usize])
         .count()
 }
 

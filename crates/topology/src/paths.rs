@@ -101,6 +101,39 @@ pub fn host_route(topo: &Topology, src: HostId, dst: HostId) -> Option<HostRoute
     best.map(|switches| HostRoute { src, dst, switches })
 }
 
+/// A host-to-host circuit's concrete wiring, in the order
+/// `Fabric::open_circuit` takes it: the switches traversed, the
+/// inter-switch link for each hop, the source host's attachment link and
+/// the destination host's attachment link.
+pub type HostWiring = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
+
+/// The lowest-id working link for each hop of a switch path, or `None`
+/// when some consecutive pair has no working link between them.
+pub fn hop_links(topo: &Topology, switches: &[SwitchId]) -> Option<Vec<LinkId>> {
+    switches
+        .windows(2)
+        .map(|w| topo.links_between(w[0], w[1]).first().copied())
+        .collect()
+}
+
+/// The one best-effort route resolver: the [`host_route`] shortest path,
+/// wired with the lowest-id working link for each hop ([`hop_links`]) and
+/// each host attachment. Returns `None` when either host is detached or no
+/// switch path exists.
+pub fn host_wiring(topo: &Topology, src: HostId, dst: HostId) -> Option<HostWiring> {
+    let switches = host_route(topo, src, dst)?.switches;
+    let links = hop_links(topo, &switches)?;
+    let attachment = |host: HostId, switch: SwitchId| {
+        topo.host_attachments(host)
+            .into_iter()
+            .find(|&(_, s)| s == switch)
+            .map(|(l, _)| l)
+    };
+    let src_link = attachment(src, switches[0])?;
+    let dst_link = attachment(dst, *switches.last().expect("non-empty route"))?;
+    Some((switches, links, src_link, dst_link))
+}
+
 /// Like [`shortest_path`], but treating `avoid` as if it had failed —
 /// equivalent to probing a clone of the topology with that link marked
 /// dead, without the clone. Same lower-numbered-switch tie-break.
@@ -289,6 +322,47 @@ mod tests {
         topo.set_link_state(primary, LinkState::Dead);
         let r = host_route(&topo, h1, h2).unwrap();
         assert_eq!(r.switches, vec![SwitchId(1), SwitchId(0)]);
+    }
+
+    #[test]
+    fn host_wiring_takes_lowest_id_parallel_links() {
+        // Doubled switch links: 0=0-1, 1=1-2, then 2=0-1, 3=1-2 in parallel.
+        let mut topo = generators::line(3);
+        let extra_01 = topo.link_switches(SwitchId(0), SwitchId(1)).unwrap();
+        let extra_12 = topo.link_switches(SwitchId(1), SwitchId(2)).unwrap();
+        let h0 = topo.add_host();
+        let h1 = topo.add_host();
+        topo.attach_host(h0, SwitchId(0)).unwrap();
+        topo.attach_host(h1, SwitchId(2)).unwrap();
+        let first_01 = topo.links_between(SwitchId(0), SwitchId(1))[0];
+        let first_12 = topo.links_between(SwitchId(1), SwitchId(2))[0];
+        assert!(first_01 < extra_01 && first_12 < extra_12);
+
+        let (switches, links, src_link, dst_link) = host_wiring(&topo, h0, h1).unwrap();
+        assert_eq!(switches, vec![SwitchId(0), SwitchId(1), SwitchId(2)]);
+        assert_eq!(links, vec![first_01, first_12]);
+        // The attachment links touch the route's end switches.
+        let touches = |l, s| {
+            let (a, b) = topo.endpoints(l);
+            a.node == crate::graph::Node::Switch(s) || b.node == crate::graph::Node::Switch(s)
+        };
+        assert!(touches(src_link, switches[0]));
+        assert!(touches(dst_link, SwitchId(2)));
+
+        // A dead lowest-id link hands the hop to its parallel twin.
+        topo.set_link_state(first_01, LinkState::Dead);
+        let (_, links, _, _) = host_wiring(&topo, h0, h1).unwrap();
+        assert_eq!(links, vec![extra_01, first_12]);
+    }
+
+    #[test]
+    fn host_wiring_fails_for_a_detached_host() {
+        let mut topo = generators::line(2);
+        let h0 = topo.add_host();
+        let h1 = topo.add_host();
+        topo.attach_host(h0, SwitchId(0)).unwrap();
+        assert_eq!(host_wiring(&topo, h0, h1), None);
+        assert_eq!(host_wiring(&topo, h1, h0), None);
     }
 
     #[test]

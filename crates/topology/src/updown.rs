@@ -15,7 +15,7 @@
 //! paper's observation that the restriction "may eliminate some potential
 //! routes and thus have a negative effect on performance".
 
-use crate::graph::{SwitchId, Topology};
+use crate::graph::{HostId, LinkState, SwitchId, Topology};
 use crate::paths;
 use crate::spanning::SpanningTree;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -268,6 +268,43 @@ pub fn canonical_forest(
     }
     forest.sort_by_key(|t| t.root());
     forest
+}
+
+/// The [`canonical_forest`] of the working topology with the `crashed`
+/// switches removed: the forest a converged reconfiguration installs
+/// routes from, recomputed from the topology alone.
+pub fn surviving_forest(topo: &Topology, crashed: &[SwitchId]) -> Vec<SpanningTree> {
+    let live: Vec<SwitchId> = topo.switches().filter(|s| !crashed.contains(s)).collect();
+    let edges: Vec<(SwitchId, SwitchId)> = topo
+        .switch_links()
+        .filter(|&(l, ..)| topo.link_state(l) == LinkState::Working)
+        .map(|(_, x, y)| (x, y))
+        .collect();
+    canonical_forest(topo.switch_count(), &live, &edges)
+}
+
+/// The canonical up\*/down\* switch path between two hosts under
+/// `forest`: the [`route`] between the first pair of attachment switches,
+/// in attachment order, that share a tree and connect in it. `None` when
+/// the hosts are partitioned.
+pub fn host_route(
+    topo: &Topology,
+    forest: &[SpanningTree],
+    src: HostId,
+    dst: HostId,
+) -> Option<Vec<SwitchId>> {
+    let dst_atts = topo.host_attachments(dst);
+    for (_, ss) in topo.host_attachments(src) {
+        for &(_, ds) in &dst_atts {
+            let Some(tree) = forest.iter().find(|t| t.contains(ss) && t.contains(ds)) else {
+                continue;
+            };
+            if let Some(path) = route(topo, tree, ss, ds) {
+                return Some(path);
+            }
+        }
+    }
+    None
 }
 
 /// A memoizing wrapper around [`route`] keyed on a [`canonical_forest`],
