@@ -42,7 +42,7 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo run -q -p an2-bench --release --bin experiments -- n5 --json
     cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
 
-    echo "== parallel data plane scaling (N6 asserts digest equality + monotone speedup)"
+    echo "== parallel data plane scaling (N6 asserts digest equality + monotone speedup + empty-fabric VmRSS <= 32 MB)"
     cargo run -q -p an2-bench --release --bin experiments -- n6 --json
 
     echo "== wide-radix equivalence (96-port fabric matches the oracle and a composition)"

@@ -168,6 +168,7 @@ fn shard_scaling_json(r: &parallel_exp::ShardScaling) -> Json {
         ("shards", Json::int(r.shards as u64)),
         ("slots", Json::int(r.slots)),
         ("wall_ms", Json::Num(r.wall_ms)),
+        ("prepare_ms", Json::Num(r.prepare_ms)),
         ("cells_per_sec", Json::Num(r.cells_per_sec)),
         ("model_speedup", Json::Num(r.model_speedup)),
         ("cut_links", Json::int(r.cut_links as u64)),

@@ -94,6 +94,38 @@ fn stats_digest(f: &an2::Fabric, scenario: &TreeScenario) -> (u64, u64) {
     circuit_digest(scenario.circuits.iter().map(|(vc, ..)| f.stats(*vc)))
 }
 
+/// The most resident memory an empty 1024-switch fabric may add: state is
+/// sized to what a scenario uses, not to configured maxima.
+const EMPTY_FABRIC_RSS_LIMIT_MB: f64 = 32.0;
+
+/// The process's resident set in MB (`VmRSS` of `/proc/self/status`), or
+/// `None` where that file is absent.
+fn vm_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Resident-set growth in MB of building an empty fabric (no circuit) on
+/// `fat_tree(arity, levels)`, or `None` where `VmRSS` cannot be read.
+/// Memory the allocator kept from earlier work in the process can absorb
+/// part of the growth, so this reads low, never high.
+fn empty_fabric_rss_mb(arity: usize, levels: usize) -> Option<f64> {
+    let before = vm_rss_mb()?;
+    let topo = generators::fat_tree(arity, levels);
+    let fabric = an2::Fabric::new(topo, FabricConfig::default(), 7);
+    let grown = vm_rss_mb()? - before;
+    drop(std::hint::black_box(fabric));
+    Some(grown)
+}
+
 /// One point on the N6 scaling curve.
 #[derive(Debug, Clone)]
 pub struct ShardScaling {
@@ -103,6 +135,10 @@ pub struct ShardScaling {
     pub slots: u64,
     /// Wall time of the measured window, milliseconds (fastest of 3).
     pub wall_ms: f64,
+    /// Wall time of [`TreeScenario::prepare`] — building the topology and
+    /// fabric, opening every circuit and loading its cells — milliseconds
+    /// (fastest of 3).
+    pub prepare_ms: f64,
     /// Delivered cells per wall-clock second.
     pub cells_per_sec: f64,
     /// `sum(shard work) / max(shard work)`: the speedup the partition
@@ -117,11 +153,23 @@ pub struct ShardScaling {
 /// N6 — the parallel data plane on the 1024-switch fat-tree, swept over
 /// power-of-two shard counts up to [`parallel::shard_count`] (default 8).
 /// Three interleaved runs per point, fastest wall time counts; stats
-/// digests must match the sequential engine exactly, and the model speedup
-/// must grow monotonically from 1 through 4 shards.
+/// digests must match the sequential engine exactly, the model speedup
+/// must grow monotonically from 1 through 4 shards, and an empty fabric on
+/// the same tree must add at most 32 MB of resident memory (checked where
+/// `/proc/self/status` exists).
 pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     let slots = 3_000u64;
     let (arity, levels) = (2, 8); // 1024 switches, 256 hosts
+
+    // Measured first, before the sweep's own allocations can be reused.
+    let empty_rss_mb = empty_fabric_rss_mb(arity, levels);
+    if let Some(mb) = empty_rss_mb {
+        assert!(
+            mb <= EMPTY_FABRIC_RSS_LIMIT_MB,
+            "an empty fat_tree({arity}, {levels}) fabric grew VmRSS by {mb:.1} MB \
+             (limit {EMPTY_FABRIC_RSS_LIMIT_MB} MB)"
+        );
+    }
     let scenario = TreeScenario::new(arity, levels, slots);
     let max_shards = parallel::shard_count();
     let mut sweep = vec![1usize];
@@ -134,10 +182,13 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     let mut base: Option<(u64, u64)> = None;
     for &shards in &sweep {
         let mut wall_ms = f64::MAX;
+        let mut prepare_ms = f64::MAX;
         let mut digest = (0u64, 0u64);
         let mut model_speedup = 1.0;
         for _ in 0..3 {
+            let t = Instant::now();
             let mut f = scenario.prepare(7, shards);
+            prepare_ms = prepare_ms.min(t.elapsed().as_secs_f64() * 1e3);
             let t = Instant::now();
             f.step(slots);
             wall_ms = wall_ms.min(t.elapsed().as_secs_f64() * 1e3);
@@ -159,6 +210,7 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
             shards,
             slots,
             wall_ms,
+            prepare_ms,
             cells_per_sec: digest.1 as f64 / (wall_ms / 1e3),
             model_speedup,
             cut_links: an2_topology::cut_links(&topo, &plan),
@@ -190,17 +242,32 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
         levels,
         scenario.circuits.len()
     );
+    let _ = match empty_rss_mb {
+        Some(mb) => writeln!(
+            out,
+            "empty fabric: +{mb:.1} MB VmRSS (limit {EMPTY_FABRIC_RSS_LIMIT_MB} MB)"
+        ),
+        None => writeln!(out, "empty fabric: VmRSS unavailable, limit not checked"),
+    };
     let _ = writeln!(
         out,
-        "{:>7} {:>7} {:>9} {:>12} {:>14} {:>10} {:>11}",
-        "shards", "slots", "wall ms", "Mcells/s", "model speedup", "cut links", "delivered"
+        "{:>7} {:>7} {:>10} {:>9} {:>12} {:>14} {:>10} {:>11}",
+        "shards",
+        "slots",
+        "prepare ms",
+        "wall ms",
+        "Mcells/s",
+        "model speedup",
+        "cut links",
+        "delivered"
     );
     for r in &rows {
         let _ = writeln!(
             out,
-            "{:>7} {:>7} {:>9.1} {:>12.2} {:>13.2}x {:>10} {:>11}",
+            "{:>7} {:>7} {:>10.1} {:>9.1} {:>12.2} {:>13.2}x {:>10} {:>11}",
             r.shards,
             r.slots,
+            r.prepare_ms,
             r.wall_ms,
             r.cells_per_sec / 1e6,
             r.model_speedup,

@@ -84,36 +84,80 @@ impl std::error::Error for InsertError {}
 /// A frame schedule: for each of the frame's slots, a crossbar configuration
 /// saying which input transmits to which output (bottom half of Figure 2).
 ///
+/// Both directions are flat `frame × n` slabs indexed `slot * n + port`,
+/// with the sentinel `u16::MAX` marking an idle port. They stay unallocated
+/// until the first placement, so a switch that never carries a guaranteed
+/// circuit holds no per-slot state at all; an unallocated schedule reads
+/// as all-idle.
+///
 /// ```
 /// use an2_schedule::FrameSchedule;
 /// let mut s = FrameSchedule::new(4, 3);
 /// s.insert(1, 0).unwrap(); // paper's 2→1, 0-based
 /// assert_eq!(s.scheduled_cells(1, 0), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameSchedule {
     n: usize,
     frame: u32,
-    /// Per slot: output assigned to each input (`None` = idle).
-    out_of_input: Vec<Vec<Option<usize>>>,
-    /// Per slot: input assigned to each output (inverse index).
-    in_of_output: Vec<Vec<Option<usize>>>,
+    /// `[slot * n + input]`: output assigned to each input, or `IDLE`.
+    /// Empty until the first placement.
+    out_of_input: Vec<u16>,
+    /// `[slot * n + output]`: input assigned to each output (inverse
+    /// index), or `IDLE`. Empty until the first placement.
+    in_of_output: Vec<u16>,
 }
 
+/// The idle sentinel of the flat slabs. `new` keeps every port below it.
+const IDLE: u16 = u16::MAX;
+
+fn port_of(entry: u16) -> Option<usize> {
+    (entry != IDLE).then_some(entry as usize)
+}
+
+impl PartialEq for FrameSchedule {
+    /// Logical equality: a schedule whose slabs were never allocated equals
+    /// one that was filled and then emptied.
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.frame == other.frame
+            && (0..self.frame).all(|slot| {
+                (0..self.n).all(|i| self.output_in_slot(slot, i) == other.output_in_slot(slot, i))
+            })
+    }
+}
+
+impl Eq for FrameSchedule {}
+
 impl FrameSchedule {
-    /// An empty schedule for an `n × n` switch with `frame` slots.
+    /// An empty schedule for an `n × n` switch with `frame` slots. Nothing
+    /// per slot is allocated until the first placement.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `frame == 0`.
+    /// Panics if `n == 0` or `frame == 0`, or if `n >= u16::MAX` (a port
+    /// index would alias the idle sentinel).
     pub fn new(n: usize, frame: u32) -> Self {
         assert!(n > 0 && frame > 0, "degenerate schedule");
+        assert!(n < IDLE as usize, "{n} ports do not fit the u16 slab");
         FrameSchedule {
             n,
             frame,
-            out_of_input: vec![vec![None; n]; frame as usize],
-            in_of_output: vec![vec![None; n]; frame as usize],
+            out_of_input: Vec::new(),
+            in_of_output: Vec::new(),
         }
+    }
+
+    /// The slab index of `(slot, port)`. A port or slot out of range would
+    /// alias another slot's entry, so it panics, as row indexing would.
+    fn idx(&self, slot: u32, port: usize) -> usize {
+        assert!(
+            slot < self.frame && port < self.n,
+            "slot {slot}, port {port} outside a {}-slot {}-port schedule",
+            self.frame,
+            self.n
+        );
+        slot as usize * self.n + port
     }
 
     /// Switch size.
@@ -128,12 +172,16 @@ impl FrameSchedule {
 
     /// The output `input` transmits to in `slot`, if any.
     pub fn output_in_slot(&self, slot: u32, input: usize) -> Option<usize> {
-        self.out_of_input[slot as usize][input]
+        self.out_of_input
+            .get(self.idx(slot, input))
+            .and_then(|&o| port_of(o))
     }
 
     /// The input transmitting to `output` in `slot`, if any.
     pub fn input_in_slot(&self, slot: u32, output: usize) -> Option<usize> {
-        self.in_of_output[slot as usize][output]
+        self.in_of_output
+            .get(self.idx(slot, output))
+            .and_then(|&i| port_of(i))
     }
 
     /// Whether both `input` and `output` are idle in `slot` — a slot
@@ -152,22 +200,27 @@ impl FrameSchedule {
 
     /// Total scheduled (slot, connection) entries.
     pub fn total_cells(&self) -> u32 {
-        (0..self.frame)
-            .map(|s| self.out_of_input[s as usize].iter().flatten().count() as u32)
-            .sum()
+        self.out_of_input.iter().filter(|&&o| o != IDLE).count() as u32
     }
 
     pub(crate) fn place(&mut self, slot: u32, input: usize, output: usize) {
-        debug_assert!(self.out_of_input[slot as usize][input].is_none());
-        debug_assert!(self.in_of_output[slot as usize][output].is_none());
-        self.out_of_input[slot as usize][input] = Some(output);
-        self.in_of_output[slot as usize][output] = Some(input);
+        if self.out_of_input.is_empty() {
+            let cells = self.frame as usize * self.n;
+            self.out_of_input = vec![IDLE; cells];
+            self.in_of_output = vec![IDLE; cells];
+        }
+        let (at_in, at_out) = (self.idx(slot, input), self.idx(slot, output));
+        debug_assert_eq!(self.out_of_input[at_in], IDLE);
+        debug_assert_eq!(self.in_of_output[at_out], IDLE);
+        self.out_of_input[at_in] = output as u16;
+        self.in_of_output[at_out] = input as u16;
     }
 
     fn unplace(&mut self, slot: u32, input: usize, output: usize) {
-        debug_assert_eq!(self.out_of_input[slot as usize][input], Some(output));
-        self.out_of_input[slot as usize][input] = None;
-        self.in_of_output[slot as usize][output] = None;
+        let (at_in, at_out) = (self.idx(slot, input), self.idx(slot, output));
+        debug_assert_eq!(self.out_of_input[at_in], output as u16);
+        self.out_of_input[at_in] = IDLE;
+        self.in_of_output[at_out] = IDLE;
     }
 
     /// Adds one cell/frame from `input` to `output` by the Slepian–Duguid
@@ -491,6 +544,76 @@ mod tests {
         let s = FrameSchedule::figure2();
         assert!(s.pair_free(2, 1, 2)); // 0-based: input 2→1, output 3→2
         assert!(!s.pair_free(0, 1, 2)); // slot 1: input 2 busy with 2→1
+    }
+
+    #[test]
+    fn fresh_schedule_holds_no_rows() {
+        let s = FrameSchedule::new(1024, 1024);
+        assert!(s.out_of_input.is_empty() && s.in_of_output.is_empty());
+        assert_eq!(s.output_in_slot(1023, 1023), None);
+        assert_eq!(s.input_in_slot(0, 0), None);
+        assert!(s.pair_free(512, 7, 9));
+        assert_eq!(s.total_cells(), 0);
+        assert_eq!(s.scheduled_cells(3, 4), 0);
+        assert_eq!(s.format_slot(0), "");
+    }
+
+    #[test]
+    fn insert_then_remove_equals_a_fresh_schedule() {
+        let fresh = FrameSchedule::new(4, 3);
+        let mut s = fresh.clone();
+        s.insert(1, 2).unwrap();
+        s.insert(3, 2).unwrap();
+        assert_ne!(s, fresh);
+        assert!(!s.out_of_input.is_empty(), "the first placement allocates");
+        s.remove(1, 2).unwrap();
+        s.remove(3, 2).unwrap();
+        assert_eq!(s, fresh);
+        assert_eq!(fresh, s);
+        assert_ne!(FrameSchedule::new(4, 3), FrameSchedule::new(4, 2));
+        assert_ne!(FrameSchedule::new(4, 3), FrameSchedule::new(5, 3));
+    }
+
+    #[test]
+    fn highest_port_round_trips() {
+        let n = 1024;
+        let mut s = FrameSchedule::new(n, 2);
+        s.insert(n - 1, n - 1).unwrap();
+        s.insert(0, n - 1).unwrap();
+        assert_eq!(s.output_in_slot(0, n - 1), Some(n - 1));
+        assert_eq!(s.input_in_slot(0, n - 1), Some(n - 1));
+        assert_eq!(s.output_in_slot(1, 0), Some(n - 1));
+        assert_eq!(s.input_in_slot(1, n - 1), Some(0));
+        assert_eq!(s.scheduled_cells(n - 1, n - 1), 1);
+        assert_eq!(s.remove(n - 1, n - 1), Some(0));
+        assert!(s.pair_free(0, n - 1, n - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn port_count_may_not_reach_the_idle_sentinel() {
+        FrameSchedule::new(u16::MAX as usize, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 3-slot 4-port schedule")]
+    fn out_of_range_port_panics_even_unallocated() {
+        FrameSchedule::new(4, 3).output_in_slot(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 3-slot 4-port schedule")]
+    fn out_of_range_port_cannot_alias_the_next_slot() {
+        let mut s = FrameSchedule::new(4, 3);
+        s.insert(0, 1).unwrap();
+        s.insert(4, 0).unwrap();
+    }
+
+    #[test]
+    fn cloning_an_unallocated_schedule_stays_unallocated() {
+        let s = FrameSchedule::new(64, 1024).clone();
+        assert!(s.out_of_input.is_empty() && s.in_of_output.is_empty());
+        assert_eq!(s, FrameSchedule::new(64, 1024));
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub enum LinkState {
     Dead,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Link {
     a: Endpoint,
     b: Endpoint,
@@ -151,11 +151,16 @@ impl std::error::Error for TopologyError {}
 /// t.attach_host(h, a).unwrap();
 /// assert!(t.switches_connected());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     switch_ports: Vec<u8>,
     host_ports: Vec<u8>,
     links: Vec<Link>,
+    /// Per switch: every incident link, dead ones included. Links are only
+    /// ever appended, so each list is in link-id order.
+    switch_incident: Vec<Vec<LinkId>>,
+    /// Per host: every incident link, in link-id order.
+    host_incident: Vec<Vec<LinkId>>,
     default_latency: SimDuration,
 }
 
@@ -175,6 +180,8 @@ impl Topology {
             switch_ports: Vec::new(),
             host_ports: Vec::new(),
             links: Vec::new(),
+            switch_incident: Vec::new(),
+            host_incident: Vec::new(),
             default_latency: DEFAULT_LATENCY,
         }
     }
@@ -192,12 +199,14 @@ impl Topology {
     /// Adds a switch with a custom port count (AN1 used 12).
     pub fn add_switch_with_ports(&mut self, ports: u8) -> SwitchId {
         self.switch_ports.push(ports);
+        self.switch_incident.push(Vec::new());
         SwitchId((self.switch_ports.len() - 1) as u16)
     }
 
     /// Adds a host (two ports: active + alternate).
     pub fn add_host(&mut self) -> HostId {
         self.host_ports.push(HOST_PORTS);
+        self.host_incident.push(Vec::new());
         HostId((self.host_ports.len() - 1) as u16)
     }
 
@@ -238,10 +247,20 @@ impl Topology {
         }
     }
 
+    /// Every link incident to `node`, dead ones included, in link-id order.
+    /// A node this topology does not have has none, as under a scan.
+    fn incident(&self, node: Node) -> &[LinkId] {
+        let lists = match node {
+            Node::Switch(s) => self.switch_incident.get(s.0 as usize),
+            Node::Host(h) => self.host_incident.get(h.0 as usize),
+        };
+        lists.map_or(&[], Vec::as_slice)
+    }
+
     fn port_in_use(&self, node: Node, port: Port) -> bool {
-        self.links.iter().any(|l| {
-            (l.a.node == node && l.a.port == port) || (l.b.node == node && l.b.port == port)
-        })
+        self.incident(node)
+            .iter()
+            .any(|&id| self.near_end(id, node).port == port)
     }
 
     /// The lowest-numbered free port on `node`, if any.
@@ -292,13 +311,20 @@ impl Topology {
                 return Err(TopologyError::PortInUse(Endpoint { node, port }));
             }
         }
+        let id = LinkId(self.links.len() as u32);
         self.links.push(Link {
             a,
             b,
             state: LinkState::Working,
             latency: self.default_latency,
         });
-        Ok(LinkId((self.links.len() - 1) as u32))
+        for node in [a.node, b.node] {
+            match node {
+                Node::Switch(s) => self.switch_incident[s.0 as usize].push(id),
+                Node::Host(h) => self.host_incident[h.0 as usize].push(id),
+            }
+        }
+        Ok(id)
     }
 
     /// Convenience: connect two switches on free ports.
@@ -389,21 +415,13 @@ impl Topology {
         }
     }
 
-    /// Working links incident to a node, with the far endpoint.
+    /// Working links incident to a node, with the far endpoint, in link-id
+    /// order.
     pub fn working_links_of(&self, node: Node) -> Vec<(LinkId, Endpoint)> {
-        self.links
+        self.incident(node)
             .iter()
-            .enumerate()
-            .filter(|(_, l)| l.state == LinkState::Working)
-            .filter_map(|(i, l)| {
-                if l.a.node == node {
-                    Some((LinkId(i as u32), l.b))
-                } else if l.b.node == node {
-                    Some((LinkId(i as u32), l.a))
-                } else {
-                    None
-                }
-            })
+            .filter(|&&id| self.link_state(id) == LinkState::Working)
+            .map(|&id| (id, self.far_end(id, node)))
             .collect()
     }
 
@@ -531,11 +549,12 @@ impl Topology {
 
     /// Marks every link incident to a switch dead — a switch crash/power-off.
     pub fn kill_switch(&mut self, s: SwitchId) {
-        for i in 0..self.links.len() {
-            let l = &self.links[i];
-            if l.a.node == Node::Switch(s) || l.b.node == Node::Switch(s) {
-                self.links[i].state = LinkState::Dead;
-            }
+        let incident = self
+            .switch_incident
+            .get(s.0 as usize)
+            .map_or(&[][..], Vec::as_slice);
+        for &id in incident {
+            self.links[id.0 as usize].state = LinkState::Dead;
         }
     }
 }
@@ -742,6 +761,18 @@ mod tests {
         assert!(t.switch_neighbors(a).is_empty());
         // b-c link survives.
         assert_eq!(t.switch_neighbors(SwitchId(1)), vec![SwitchId(2)]);
+    }
+
+    #[test]
+    fn unknown_nodes_have_no_links() {
+        let (mut t, _) = triangle();
+        assert!(t.working_links_of(Node::Switch(SwitchId(9))).is_empty());
+        assert!(t.host_attachments(HostId(0)).is_empty());
+        t.kill_switch(SwitchId(9));
+        assert!(
+            t.switches_connected(),
+            "killing an unknown switch is a no-op"
+        );
     }
 
     #[test]

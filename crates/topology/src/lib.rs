@@ -27,6 +27,8 @@
 
 pub mod generators;
 mod graph;
+#[cfg(test)]
+mod incidence_tests;
 mod partition;
 pub mod paths;
 mod spanning;
